@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-checks bench bench-json race vet vet-json fmt cover experiments chaos failover overload scenarios city profile linkcheck docs clean
+.PHONY: all build test test-short test-checks bench bench-json race vet vet-json fmt cover experiments chaos failover overload scenarios city city-profile profile linkcheck docs clean
 
 all: build vet test
 
@@ -98,5 +98,11 @@ scenarios:
 city:
 	$(GO) run ./cmd/cad3-city -faults
 
+# CPU profile of the same run, written to city.prof, with the top
+# functions printed. Inspect further with: go tool pprof city.prof
+city-profile:
+	$(GO) run ./cmd/cad3-city -faults -cpuprofile city.prof
+	$(GO) tool pprof -top -nodecount 25 city.prof
+
 clean:
-	rm -f cover.out test_output.txt bench_output.txt cpu.prof mem.prof core.test
+	rm -f cover.out test_output.txt bench_output.txt cpu.prof mem.prof city.prof core.test

@@ -12,7 +12,7 @@
 //
 //	cad3-city [-vehicles 100000] [-shards 8] [-replicas 3]
 //	          [-minutes 30] [-scale 0.25] [-extent 12000]
-//	          [-seed 42] [-faults]
+//	          [-seed 42] [-faults] [-cpuprofile city.prof]
 //
 // The command exits nonzero if the settlement ledger is dirty or the
 // per-shard load skew exceeds 1.5x the median — it is the acceptance
@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"cad3/internal/experiments"
@@ -35,7 +36,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	vehicles := flag.Int("vehicles", 100_000, "fleet size")
 	shards := flag.Int("shards", 8, "worker shard count")
 	replicas := flag.Int("replicas", 3, "broker replicas per shard")
@@ -45,7 +46,25 @@ func run() error {
 	seed := flag.Int64("seed", 42, "random seed (network + fleet)")
 	faults := flag.Bool("faults", false, "kill and revive one replica per even shard mid-run")
 	maxSkew := flag.Float64("max-skew", 1.5, "fail if shard dwell skew exceeds this factor of the median")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, ferr := os.Create(*cpuProfile)
+		if ferr != nil {
+			return ferr
+		}
+		if perr := pprof.StartCPUProfile(f); perr != nil {
+			f.Close()
+			return fmt.Errorf("start cpu profile: %w", perr)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("write cpu profile: %w", cerr)
+			}
+		}()
+	}
 
 	fmt.Printf("building city (scale=%.2f extent=%.0fm seed=%d) and replaying %d vehicles x %dmin over %d shards...\n",
 		*scale, *extent, *seed, *vehicles, *minutes, *shards)

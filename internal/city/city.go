@@ -293,28 +293,32 @@ func (d *Driver) Start() error {
 }
 
 // scheduleBatch self-reschedules a shard's drain/detect cadence until
-// the run ends.
+// the run ends, reusing one callback for every round.
 func (d *Driver) scheduleBatch(s *shard) {
-	d.sim.After(d.cfg.BatchInterval, func() {
+	var fire func()
+	fire = func() {
 		s.batch()
 		if d.sim.Now().Before(d.end) {
-			d.scheduleBatch(s)
+			d.sim.After(d.cfg.BatchInterval, fire)
 		}
-	})
+	}
+	d.sim.After(d.cfg.BatchInterval, fire)
 }
 
 // scheduleTick self-reschedules a shard's control-plane cadence. The
 // router flush rides shard 0's tick (one flush per interval).
 func (d *Driver) scheduleTick(s *shard) {
-	d.sim.After(d.cfg.TickInterval, func() {
+	var fire func()
+	fire = func() {
 		s.tick()
 		if s.id == 0 {
 			_, _ = d.router.Flush()
 		}
 		if d.sim.Now().Before(d.end) {
-			d.scheduleTick(s)
+			d.sim.After(d.cfg.TickInterval, fire)
 		}
-	})
+	}
+	d.sim.After(d.cfg.TickInterval, fire)
 }
 
 // nowMs returns the current virtual instant in Unix milliseconds.

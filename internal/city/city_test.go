@@ -1,6 +1,8 @@
 package city
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -99,6 +101,35 @@ func TestCityDeterministicReport(t *testing.T) {
 	}()
 	if reflect.DeepEqual(a, runCity(t, c)) {
 		t.Fatal("different seeds produced identical reports")
+	}
+}
+
+// TestCityGoldenReport pins the complete report of two fixed runs, one
+// with replica faults. TestCityDeterministicReport compares two runs of
+// the same code, so it cannot see a change to the event loop that alters
+// results; this test can. (The tie order of simultaneous events is held
+// by netem's TestSimulatorMatchesReferenceOrder: these two reports do not
+// depend on it.) A deliberate change to the city's behaviour updates the
+// digests.
+func TestCityGoldenReport(t *testing.T) {
+	faulted := testConfig(t, testNetwork(t, 1))
+	faulted.Faults = []Fault{
+		{At: 30 * time.Second, Shard: 0, Replica: 0},
+		{At: 90 * time.Second, Shard: 0, Replica: 0, Revive: true},
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"plain", testConfig(t, testNetwork(t, 1)), "b23660a6398a24b2803e52b1279f4d224c0761ca88195f54ebb8058d1022ff36"},
+		{"faults", faulted, "4c147234a45382f861c7eeac2fa6c07d17e634871ea95786935d26a5434bb900"},
+	} {
+		rep := runCity(t, tc.cfg)
+		full := fmt.Sprintf("%+v", *rep)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(full))); got != tc.want {
+			t.Errorf("%s: report digest %s, want %s; report:\n%s", tc.name, got, tc.want, full)
+		}
 	}
 }
 

@@ -36,6 +36,13 @@ type cityVehicle struct {
 	lastTsMs int64
 
 	keyBuf []byte // "car-<id>", reused for every produce
+
+	// The pending move event's target: the along-track boundary it
+	// crosses and the length of the segment it was scheduled on.
+	moveBound, moveLen float64
+	// The vehicle's two event callbacks, built once at spawn so the
+	// event chains schedule without allocating.
+	onMove, onTelemetry func()
 }
 
 // minMoveMeters clamps a movement hop so boundary epsilons cannot
@@ -64,6 +71,8 @@ func (d *Driver) spawnVehicles() {
 		v.shard = d.part.ShardOfSite(site.ID)
 		v.enteredMs = d.nowMs()
 		v.keyBuf = append([]byte("car-"), strconv.Itoa(i+1)...)
+		v.onMove = func() { d.move(v) }
+		v.onTelemetry = func() { d.telemetry(v) }
 		d.vehicles[i] = v
 		d.scheduleMove(v)
 		d.scheduleTelemetry(v)
@@ -99,10 +108,9 @@ func (d *Driver) nextBoundary(v *cityVehicle, length float64) float64 {
 // segment-end crossing. Each firing reschedules the next, so a vehicle
 // costs O(crossings) events, not O(ticks).
 func (d *Driver) scheduleMove(v *cityVehicle) {
-	seg := d.part.Net.Segment(v.seg)
-	length := seg.LengthMeters()
-	bound := d.nextBoundary(v, length)
-	dist := bound - v.alongM
+	v.moveLen = d.part.Net.Segment(v.seg).LengthMeters()
+	v.moveBound = d.nextBoundary(v, v.moveLen)
+	dist := v.moveBound - v.alongM
 	if dist < minMoveMeters {
 		dist = minMoveMeters
 	}
@@ -110,17 +118,20 @@ func (d *Driver) scheduleMove(v *cityVehicle) {
 	if dt < time.Millisecond {
 		dt = time.Millisecond
 	}
-	d.sim.After(dt, func() {
-		if bound >= length-1e-6 {
-			d.advanceSegment(v)
-		} else {
-			v.alongM = bound + 0.01
-		}
-		d.relocate(v)
-		if d.sim.Now().Before(d.end) {
-			d.scheduleMove(v)
-		}
-	})
+	d.sim.After(dt, v.onMove)
+}
+
+// move fires the crossing scheduleMove scheduled.
+func (d *Driver) move(v *cityVehicle) {
+	if v.moveBound >= v.moveLen-1e-6 {
+		d.advanceSegment(v)
+	} else {
+		v.alongM = v.moveBound + 0.01
+	}
+	d.relocate(v)
+	if d.sim.Now().Before(d.end) {
+		d.scheduleMove(v)
+	}
 }
 
 // advanceSegment walks the vehicle onto a successor segment, or
@@ -183,12 +194,15 @@ func (d *Driver) handover(v *cityVehicle, dst int) {
 // an exponential gap over the combined probe + abnormal-event rate.
 func (d *Driver) scheduleTelemetry(v *cityVehicle) {
 	rate := d.cfg.EventsPerVehicleHour + d.cfg.ProbesPerVehicleHour
-	d.sim.After(v.rng.expGap(rate), func() {
-		d.emitTelemetry(v)
-		if d.sim.Now().Before(d.end) {
-			d.scheduleTelemetry(v)
-		}
-	})
+	d.sim.After(v.rng.expGap(rate), v.onTelemetry)
+}
+
+// telemetry fires the emission scheduleTelemetry scheduled.
+func (d *Driver) telemetry(v *cityVehicle) {
+	d.emitTelemetry(v)
+	if d.sim.Now().Before(d.end) {
+		d.scheduleTelemetry(v)
+	}
 }
 
 // emitTelemetry produces one telemetry record to the vehicle's current

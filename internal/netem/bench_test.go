@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -50,6 +51,38 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 		}
 		if n := s.Run(); n != 1000 {
 			b.Fatalf("ran %d events", n)
+		}
+	}
+}
+
+// BenchmarkSimulatorHold is the classic hold model of an event queue
+// under load: 200k pending events, and each event fired schedules one
+// more at an exponentially distributed offset. A city run keeps its
+// queue near this size (a few pending events per vehicle), where
+// BenchmarkSimulatorEvents measures an almost empty queue. One op is one
+// fire plus one schedule.
+func BenchmarkSimulatorHold(b *testing.B) {
+	const pending = 200_000
+	rng := rand.New(rand.NewSource(1))
+	gaps := make([]time.Duration, 1<<16)
+	for i := range gaps {
+		gaps[i] = time.Duration(rng.ExpFloat64() * float64(time.Second))
+	}
+	s := NewSimulator(t0)
+	var k int
+	var hold func()
+	hold = func() {
+		s.After(gaps[k&(len(gaps)-1)], hold)
+		k++
+	}
+	for i := 0; i < pending; i++ {
+		hold()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Step(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
